@@ -3,23 +3,20 @@
 //! flattening the failure slope.
 //!
 //! Run: `cargo run --release -p salamander-bench --bin fig3a -- --devices 100 --dwpd 5`
-//! Engine: `--engine <cohort|device>` picks the fleet aging engine
-//! (default: the cohort engine; both produce byte-identical output).
 //! Observability: `--trace <path>`, `--metrics`, `--profile`,
 //! `--serve <addr>` (DESIGN.md §9/§12).
 
 use salamander::report::Table;
-use salamander_bench::{arg_or, emit, fleet_engine_arg, ObsArgs};
+use salamander_bench::{arg_or, emit, ObsArgs};
 use salamander_ecc::profile::Tiredness;
 use salamander_exec::{par_map, Threads};
 use salamander_fleet::device::{StatDeviceConfig, StatMode};
-use salamander_fleet::sim::{FleetConfig, FleetEngine, FleetSim, FleetTimeline, ObservedFleetRun};
+use salamander_fleet::sim::{FleetConfig, FleetSim, FleetTimeline, ObservedFleetRun};
 use salamander_obs::{LiveObs, MetricsRegistry, Profiler};
 
 #[allow(clippy::too_many_arguments)]
 fn run(
     mode: StatMode,
-    engine: FleetEngine,
     devices: u32,
     dwpd: f64,
     horizon: u32,
@@ -39,7 +36,6 @@ fn run(
         sample_every_days: 30,
         seed,
     })
-    .with_engine(engine)
     .run_observed_live(Threads::Auto, label, profiler, live)
 }
 
@@ -48,7 +44,6 @@ fn main() {
     let dwpd: f64 = arg_or("--dwpd", 5.0);
     let horizon: u32 = arg_or("--days", 3650);
     let seed: u64 = arg_or("--seed", 42);
-    let engine = fleet_engine_arg();
     let obs_args = ObsArgs::parse();
     let profiler = obs_args.profiler();
     let session = obs_args.serve_session("fig3a");
@@ -76,7 +71,6 @@ fn main() {
                 *name,
                 run(
                     *m,
-                    engine,
                     devices,
                     dwpd,
                     horizon,

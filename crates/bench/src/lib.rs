@@ -10,8 +10,6 @@ use salamander_telemetry::{TelemetryHub, TelemetryServer};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-pub mod perf;
-
 /// Print a table to stdout as markdown and persist it as CSV under
 /// `results/<name>.csv` (best-effort: printing always works, the file
 /// write reports failures to stderr without aborting the experiment).
@@ -27,25 +25,6 @@ pub fn emit(name: &str, table: &Table) {
         eprintln!("warning: cannot write {}: {e}", path.display());
     } else {
         eprintln!("wrote {}", path.display());
-    }
-}
-
-/// Parse the `--engine <cohort|device>` flag shared by the fleet bins
-/// (fig3a, fig3b, zombie): explicit flag wins, otherwise the
-/// `SALAMANDER_FLEET_ENGINE` selection (default: cohort). Unknown
-/// spellings abort with a usage error rather than silently running the
-/// wrong engine.
-pub fn fleet_engine_arg() -> salamander_fleet::FleetEngine {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--engine") {
-        None => salamander_fleet::FleetEngine::from_env(),
-        Some(i) => {
-            let raw = args.get(i + 1).map(String::as_str).unwrap_or("");
-            salamander_fleet::FleetEngine::parse(raw).unwrap_or_else(|| {
-                eprintln!("error: unknown --engine '{raw}' (expected 'cohort' or 'device')");
-                std::process::exit(2);
-            })
-        }
     }
 }
 

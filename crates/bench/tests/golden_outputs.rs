@@ -1,7 +1,7 @@
 //! Golden-output regression gate for the seeded `results/` artifacts.
 //!
-//! Runs the `lifetime`, `fig3a`, and `fig3b` harness binaries with
-//! their seed defaults in a scratch directory and asserts every CSV
+//! Runs the `lifetime`, `fig3a`, `fig3b` and `zombie` harness binaries
+//! with their seed defaults in a scratch directory and asserts every CSV
 //! they produce is byte-identical to the copy checked into `results/`,
 //! at `SALAMANDER_THREADS=1` and `=4` alike. This is the enforcement
 //! arm of the determinism contract: no optimization may shift a
@@ -19,10 +19,10 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// Run `bin` with `args` in a fresh scratch dir at a fixed thread
-/// count and compare every CSV named in `outputs` byte-for-byte
+/// Run `bin` with its seed defaults in a fresh scratch dir at a fixed
+/// thread count and compare every CSV named in `outputs` byte-for-byte
 /// against the checked-in golden of the same name.
-fn assert_golden(bin: &str, args: &[&str], threads: &str, outputs: &[&str]) {
+fn assert_golden(bin: &str, threads: &str, outputs: &[&str]) {
     let scratch = std::env::temp_dir().join(format!(
         "salamander-golden-{}-t{}-{}",
         Path::new(bin).file_name().unwrap().to_string_lossy(),
@@ -33,7 +33,6 @@ fn assert_golden(bin: &str, args: &[&str], threads: &str, outputs: &[&str]) {
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
 
     let status = Command::new(bin)
-        .args(args)
         .current_dir(&scratch)
         .env("SALAMANDER_THREADS", threads)
         .stdout(std::process::Stdio::null())
@@ -55,8 +54,8 @@ fn assert_golden(bin: &str, args: &[&str], threads: &str, outputs: &[&str]) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// One case per harness binary: the binary path from cargo, the seed
-/// defaults (none — defaults are the seeds), and the CSVs it writes.
+/// One case per harness binary: the binary path from cargo and the
+/// CSVs it writes (no arguments — the defaults are the seeds).
 fn cases() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
         (
@@ -69,47 +68,23 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>)> {
         ),
         (env!("CARGO_BIN_EXE_fig3a"), vec!["fig3a.csv"]),
         (env!("CARGO_BIN_EXE_fig3b"), vec!["fig3b.csv"]),
+        (
+            env!("CARGO_BIN_EXE_zombie"),
+            vec!["zombie_lifetime.csv", "zombie_cells.csv"],
+        ),
     ]
 }
 
 #[test]
 fn seeded_csvs_match_checked_in_goldens_serial() {
     for (bin, outputs) in cases() {
-        assert_golden(bin, &[], "1", &outputs);
+        assert_golden(bin, "1", &outputs);
     }
 }
 
 #[test]
 fn seeded_csvs_match_checked_in_goldens_four_threads() {
     for (bin, outputs) in cases() {
-        assert_golden(bin, &[], "4", &outputs);
-    }
-}
-
-/// ISSUE 6: the fleet engine switch must not shift a single byte.
-/// Both engines, spelled out explicitly, reproduce the same checked-in
-/// fig3a/fig3b goldens (the no-arg cases above already cover the
-/// default). Thread counts are crossed with engines so each engine is
-/// exercised serial and sharded without doubling the suite's runtime.
-#[test]
-fn fig3_goldens_are_engine_independent() {
-    for (engine, threads) in [
-        ("device", "1"),
-        ("cohort", "4"),
-        ("device", "4"),
-        ("cohort", "1"),
-    ] {
-        assert_golden(
-            env!("CARGO_BIN_EXE_fig3a"),
-            &["--engine", engine],
-            threads,
-            &["fig3a.csv"],
-        );
-        assert_golden(
-            env!("CARGO_BIN_EXE_fig3b"),
-            &["--engine", engine],
-            threads,
-            &["fig3b.csv"],
-        );
+        assert_golden(bin, "4", &outputs);
     }
 }

@@ -326,45 +326,16 @@ impl RollupNorms {
 /// Both engines implement the identical statistical model from
 /// identical per-device seed streams, so they produce byte-identical
 /// timelines, traces, and metrics (enforced by
-/// `tests/cohort_equivalence.rs` and the golden-output suite). The
-/// cohort engine is the default; the per-device path remains as the
-/// reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// `tests/cohort_equivalence.rs`, this module's unit tests and
+/// `tests/trace_determinism.rs`). Every binary runs the cohort engine;
+/// the per-device path is the test oracle those suites compare it
+/// against, reachable only through [`FleetSim::with_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEngine {
-    /// One [`StatDevice`] per device — the original reference path.
+    /// One [`StatDevice`] per device — the reference implementation.
     PerDevice,
     /// Struct-of-arrays [`Cohort`] sharding (DESIGN.md §13).
-    #[default]
     Cohort,
-}
-
-impl FleetEngine {
-    /// Parse a CLI/env spelling: `cohort`, or `device` / `per-device` /
-    /// `legacy` for the reference path.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cohort" => Some(FleetEngine::Cohort),
-            "device" | "per-device" | "per_device" | "legacy" => Some(FleetEngine::PerDevice),
-            _ => None,
-        }
-    }
-
-    /// Engine selected by `SALAMANDER_FLEET_ENGINE`, defaulting to
-    /// [`FleetEngine::Cohort`] when unset or unrecognized.
-    pub fn from_env() -> Self {
-        std::env::var("SALAMANDER_FLEET_ENGINE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Canonical spelling, round-trips through [`Self::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetEngine::PerDevice => "device",
-            FleetEngine::Cohort => "cohort",
-        }
-    }
 }
 
 /// The fleet simulator.
@@ -375,24 +346,19 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Build a simulator with the engine from
-    /// [`FleetEngine::from_env`].
+    /// Build a simulator on the cohort engine.
     pub fn new(cfg: FleetConfig) -> Self {
         FleetSim {
             cfg,
-            engine: FleetEngine::from_env(),
+            engine: FleetEngine::Cohort,
         }
     }
 
-    /// Override the aging engine (CLI flags, equivalence tests).
+    /// Select the aging engine. Equivalence tests use this to run the
+    /// [`FleetEngine::PerDevice`] oracle beside the cohort engine.
     pub fn with_engine(mut self, engine: FleetEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The engine this simulator ages devices with.
-    pub fn engine(&self) -> FleetEngine {
-        self.engine
     }
 
     /// Run to the horizon (or total fleet death) and return the timeline.
@@ -1359,22 +1325,6 @@ mod tests {
             .with_engine(FleetEngine::Cohort)
             .run_threads(Threads::fixed(4));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn engine_parse_and_env_spellings() {
-        assert_eq!(FleetEngine::parse("cohort"), Some(FleetEngine::Cohort));
-        assert_eq!(FleetEngine::parse("Device"), Some(FleetEngine::PerDevice));
-        assert_eq!(
-            FleetEngine::parse("per-device"),
-            Some(FleetEngine::PerDevice)
-        );
-        assert_eq!(FleetEngine::parse("legacy"), Some(FleetEngine::PerDevice));
-        assert_eq!(FleetEngine::parse("warp"), None);
-        for e in [FleetEngine::Cohort, FleetEngine::PerDevice] {
-            assert_eq!(FleetEngine::parse(e.name()), Some(e), "name round-trips");
-        }
-        assert_eq!(FleetEngine::default(), FleetEngine::Cohort);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn segments(records: &[TraceRecord]) -> Vec<Segment<'_>> {
 /// when the chunk may matter, or just its summary when the index proves
 /// it cannot contain anything the query would print line-by-line.
 #[derive(Debug, Clone)]
-pub enum TraceChunk {
+enum TraceChunk {
     /// Decoded records, in emission order.
     Records(Vec<TraceRecord>),
     /// A chunk skipped via the index: aggregate counts only.
@@ -129,7 +129,7 @@ fn item_segments<'a>(items: &[Item<'a>]) -> Vec<ItemSegment<'a>> {
 /// in `decode_mask` — or, with `id_filter = Some((mask, id))`, chunks
 /// that may contain a `mask` kind concerning `id` (bloom test; false
 /// positives decode harmlessly, false negatives cannot happen).
-pub fn load_chunks(
+fn load_chunks(
     reader: &mut StrcReader,
     decode_mask: u32,
     id_filter: Option<(u32, u64)>,
@@ -151,7 +151,7 @@ pub fn load_chunks(
 
 /// Kinds [`lifecycle`] prints as individual lines. Chunks containing
 /// any of these must be decoded; all others fold in via summaries.
-pub fn lifecycle_decode_mask() -> u32 {
+fn lifecycle_decode_mask() -> u32 {
     EventKind::mask(&[
         EventKind::RunMarker,
         EventKind::MdiskDecommissioned,
@@ -166,7 +166,7 @@ pub fn lifecycle_decode_mask() -> u32 {
 
 /// Kinds [`why`] prints or anchors on (the read-path pressure for the
 /// target minidisk is pulled in separately via the id bloom).
-pub fn why_decode_mask() -> u32 {
+fn why_decode_mask() -> u32 {
     EventKind::mask(&[
         EventKind::RunMarker,
         EventKind::MdiskDecommissioned,
@@ -177,13 +177,13 @@ pub fn why_decode_mask() -> u32 {
 }
 
 /// The per-minidisk read-path kinds [`why`] sums for its target.
-pub fn read_path_mask() -> u32 {
+fn read_path_mask() -> u32 {
     EventKind::mask(&[EventKind::ReadRetry, EventKind::UncorrectableRead])
 }
 
 /// Kinds [`fleet_rollup`] prints per-event (losses and re-replication
 /// volumes are pure counts, served by the index).
-pub fn fleet_decode_mask() -> u32 {
+fn fleet_decode_mask() -> u32 {
     EventKind::mask(&[EventKind::FleetDeviceDied])
 }
 
@@ -209,16 +209,11 @@ pub fn lifecycle(records: &[TraceRecord], mdisk: Option<u32>) -> String {
     lifecycle_items(&items, mdisk)
 }
 
-/// [`lifecycle`] over an indexed chunk list (see [`load_chunks`]).
-pub fn lifecycle_chunks(chunks: &[TraceChunk], mdisk: Option<u32>) -> String {
-    lifecycle_items(&chunk_items(chunks), mdisk)
-}
-
 /// [`lifecycle`] over a `.strc` reader: decodes only chunks that may
 /// contain a printable event, folding the rest in from the index.
 pub fn lifecycle_strc(reader: &mut StrcReader, mdisk: Option<u32>) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, lifecycle_decode_mask(), None)?;
-    Ok(lifecycle_chunks(&chunks, mdisk))
+    Ok(lifecycle_items(&chunk_items(&chunks), mdisk))
 }
 
 fn lifecycle_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
@@ -368,11 +363,6 @@ pub fn why(records: &[TraceRecord], mdisk: Option<u32>) -> String {
     why_items(&items, mdisk)
 }
 
-/// [`why`] over an indexed chunk list (see [`load_chunks`]).
-pub fn why_chunks(chunks: &[TraceChunk], mdisk: Option<u32>) -> String {
-    why_items(&chunk_items(chunks), mdisk)
-}
-
 /// [`why`] over a `.strc` reader. Lifecycle-anchor chunks decode via
 /// the kind mask; the target minidisk's read-path chunks decode via
 /// the id bloom (resolved in a first pass when `mdisk` is `None`);
@@ -388,7 +378,7 @@ pub fn why_strc(reader: &mut StrcReader, mdisk: Option<u32>) -> Result<String, S
         )?,
         None => base,
     };
-    Ok(why_chunks(&chunks, mdisk))
+    Ok(why_items(&chunk_items(&chunks), mdisk))
 }
 
 /// First minidisk decommissioned in a decoded chunk list, if any.
@@ -592,16 +582,11 @@ pub fn fleet_rollup(records: &[TraceRecord], csv: bool) -> String {
     fleet_rollup_items(&items, csv)
 }
 
-/// [`fleet_rollup`] over an indexed chunk list (see [`load_chunks`]).
-pub fn fleet_rollup_chunks(chunks: &[TraceChunk], csv: bool) -> String {
-    fleet_rollup_items(&chunk_items(chunks), csv)
-}
-
 /// [`fleet_rollup`] over a `.strc` reader: only chunks with device
 /// deaths decode; loss and re-replication totals come from the index.
 pub fn fleet_rollup_strc(reader: &mut StrcReader, csv: bool) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, fleet_decode_mask(), None)?;
-    Ok(fleet_rollup_chunks(&chunks, csv))
+    Ok(fleet_rollup_items(&chunk_items(&chunks), csv))
 }
 
 fn fleet_rollup_items(items: &[Item<'_>], csv: bool) -> String {
@@ -656,7 +641,7 @@ fn fleet_rollup_items(items: &[Item<'_>], csv: bool) -> String {
 /// [`drill`]) print: run markers and the per-day rollups themselves.
 /// Every other chunk — including the high-volume wear/GC noise and the
 /// death events — is skipped outright.
-pub fn rollup_series_decode_mask() -> u32 {
+fn rollup_series_decode_mask() -> u32 {
     EventKind::mask(&[EventKind::RunMarker, EventKind::FleetRollup])
 }
 
@@ -683,16 +668,11 @@ pub fn fleet_timeline(records: &[TraceRecord]) -> String {
     fleet_timeline_items(&items)
 }
 
-/// [`fleet_timeline`] over an indexed chunk list (see [`load_chunks`]).
-pub fn fleet_timeline_chunks(chunks: &[TraceChunk]) -> String {
-    fleet_timeline_items(&chunk_items(chunks))
-}
-
 /// [`fleet_timeline`] over a `.strc` reader: only chunks that may hold
 /// a rollup (or marker) decode.
 pub fn fleet_timeline_strc(reader: &mut StrcReader) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, rollup_series_decode_mask(), None)?;
-    Ok(fleet_timeline_chunks(&chunks))
+    Ok(fleet_timeline_items(&chunk_items(&chunks)))
 }
 
 fn fleet_timeline_items(items: &[Item<'_>]) -> String {
@@ -751,16 +731,11 @@ pub fn percentiles(records: &[TraceRecord], metric: &str) -> String {
     percentiles_items(&items, metric)
 }
 
-/// [`percentiles`] over an indexed chunk list (see [`load_chunks`]).
-pub fn percentiles_chunks(chunks: &[TraceChunk], metric: &str) -> String {
-    percentiles_items(&chunk_items(chunks), metric)
-}
-
 /// [`percentiles`] over a `.strc` reader: only rollup-bearing chunks
 /// decode.
 pub fn percentiles_strc(reader: &mut StrcReader, metric: &str) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, rollup_series_decode_mask(), None)?;
-    Ok(percentiles_chunks(&chunks, metric))
+    Ok(percentiles_items(&chunk_items(&chunks), metric))
 }
 
 fn percentiles_items(items: &[Item<'_>], metric: &str) -> String {
@@ -813,7 +788,7 @@ fn percentiles_items(items: &[Item<'_>], metric: &str) -> String {
 
 /// Kinds the [`latency`] query prints: run markers and the per-day
 /// latency rollups; everything else is skipped outright.
-pub fn latency_decode_mask() -> u32 {
+fn latency_decode_mask() -> u32 {
     EventKind::mask(&[EventKind::RunMarker, EventKind::LatencyRollup])
 }
 
@@ -843,16 +818,11 @@ pub fn latency(records: &[TraceRecord], class: Option<&str>) -> String {
     latency_items(&items, class)
 }
 
-/// [`latency`] over an indexed chunk list (see [`load_chunks`]).
-pub fn latency_chunks(chunks: &[TraceChunk], class: Option<&str>) -> String {
-    latency_items(&chunk_items(chunks), class)
-}
-
 /// [`latency`] over a `.strc` reader: only chunks that may hold a
 /// latency rollup (or marker) decode.
 pub fn latency_strc(reader: &mut StrcReader, class: Option<&str>) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, latency_decode_mask(), None)?;
-    Ok(latency_chunks(&chunks, class))
+    Ok(latency_items(&chunk_items(&chunks), class))
 }
 
 fn latency_items(items: &[Item<'_>], class: Option<&str>) -> String {
@@ -950,7 +920,7 @@ fn latency_items(items: &[Item<'_>], class: Option<&str>) -> String {
 /// Kinds the [`cluster`] and [`exposure`] queries print: run markers
 /// and the per-tick cluster rollups; everything else is skipped
 /// outright.
-pub fn cluster_decode_mask() -> u32 {
+fn cluster_decode_mask() -> u32 {
     EventKind::mask(&[EventKind::RunMarker, EventKind::ClusterRollup])
 }
 
@@ -979,16 +949,11 @@ pub fn cluster(records: &[TraceRecord]) -> String {
     cluster_items(&items)
 }
 
-/// [`cluster`] over an indexed chunk list (see [`load_chunks`]).
-pub fn cluster_chunks(chunks: &[TraceChunk]) -> String {
-    cluster_items(&chunk_items(chunks))
-}
-
 /// [`cluster`] over a `.strc` reader: only chunks that may hold a
 /// cluster rollup (or marker) decode.
 pub fn cluster_strc(reader: &mut StrcReader) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, cluster_decode_mask(), None)?;
-    Ok(cluster_chunks(&chunks))
+    Ok(cluster_items(&chunk_items(&chunks)))
 }
 
 fn cluster_items(items: &[Item<'_>]) -> String {
@@ -1063,16 +1028,11 @@ pub fn exposure(records: &[TraceRecord]) -> String {
     exposure_items(&items)
 }
 
-/// [`exposure`] over an indexed chunk list (see [`load_chunks`]).
-pub fn exposure_chunks(chunks: &[TraceChunk]) -> String {
-    exposure_items(&chunk_items(chunks))
-}
-
 /// [`exposure`] over a `.strc` reader: only chunks that may hold a
 /// cluster rollup (or marker) decode.
 pub fn exposure_strc(reader: &mut StrcReader) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, cluster_decode_mask(), None)?;
-    Ok(exposure_chunks(&chunks))
+    Ok(exposure_items(&chunk_items(&chunks)))
 }
 
 fn exposure_items(items: &[Item<'_>]) -> String {
@@ -1127,7 +1087,7 @@ fn exposure_items(items: &[Item<'_>]) -> String {
 
 /// Kinds [`drill`] prints: run markers plus all three per-sample rollup
 /// families (fleet, latency, cluster).
-pub fn drill_decode_mask() -> u32 {
+fn drill_decode_mask() -> u32 {
     EventKind::mask(&[
         EventKind::RunMarker,
         EventKind::FleetRollup,
@@ -1147,16 +1107,11 @@ pub fn drill(records: &[TraceRecord], day: u32) -> String {
     drill_items(&items, day)
 }
 
-/// [`drill`] over an indexed chunk list (see [`load_chunks`]).
-pub fn drill_chunks(chunks: &[TraceChunk], day: u32) -> String {
-    drill_items(&chunk_items(chunks), day)
-}
-
 /// [`drill`] over a `.strc` reader: only rollup-bearing chunks (fleet
 /// or latency) decode.
 pub fn drill_strc(reader: &mut StrcReader, day: u32) -> Result<String, StrcError> {
     let chunks = load_chunks(reader, drill_decode_mask(), None)?;
-    Ok(drill_chunks(&chunks, day))
+    Ok(drill_items(&chunk_items(&chunks), day))
 }
 
 fn drill_items(items: &[Item<'_>], day: u32) -> String {

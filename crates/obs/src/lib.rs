@@ -41,7 +41,7 @@ pub use live::{Broadcast, LiveObs, ProgressHandle};
 pub use metrics::{Histogram, MetricsHandle, MetricsRegistry};
 pub use profile::{PhaseGuard, PhaseStat, Profiler};
 pub use rollup::{FleetRollup, RollupKernel, DIST_BUCKETS, DIST_NAMES, PERCENTILES};
-pub use strc::{ChunkSummary, EventKind, RotatingStrcWriter, StrcError, StrcReader, StrcWriter};
+pub use strc::{ChunkSummary, EventKind, StrcError, StrcReader, StrcWriter};
 pub use trace::{JsonlSink, NullTracer, ParseError, RingRecorder, TraceHandle, Tracer};
 
 /// The bundle simulation code threads through its layers: a trace

@@ -16,9 +16,7 @@
 //! The format is lossless against JSONL in both directions:
 //! [`write_strc`]/[`read_strc`] round-trip exactly the records
 //! [`crate::trace::to_jsonl`]/[`crate::trace::parse_jsonl`] carry, and
-//! [`convert_file`] translates whole files. Multi-GB fleet traces
-//! rotate across `trace.0001.strc`, `trace.0002.strc`, … via
-//! [`RotatingStrcWriter`].
+//! [`convert_file`] translates whole files.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -37,7 +35,7 @@ use crate::event::{DeathCause, DecommissionCause, SimTime, TraceEvent, TraceReco
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File magic, first four bytes of every `.strc` file.
 pub const MAGIC: &[u8; 4] = b"STRC";
@@ -735,11 +733,6 @@ impl<W: Write> StrcWriter<W> {
         Ok(())
     }
 
-    /// Bytes committed to the stream so far (buffered records excluded).
-    pub fn bytes_written(&self) -> u64 {
-        self.written
-    }
-
     fn flush_chunk(&mut self) -> Result<(), StrcError> {
         if self.buf.is_empty() {
             return Ok(());
@@ -921,74 +914,6 @@ pub fn read_strc(path: &Path) -> Result<Vec<TraceRecord>, StrcError> {
     StrcReader::open(path)?.read_all()
 }
 
-/// Size-rotating `.strc` writer for multi-GB fleet traces: records go
-/// to `<stem>.0001.strc`, and whenever a finished chunk pushes the
-/// current file past `max_bytes` the writer seals it (footer included)
-/// and opens `<stem>.0002.strc`, and so on. Every rotated file is a
-/// complete, independently readable `.strc`.
-pub struct RotatingStrcWriter {
-    stem: PathBuf,
-    max_bytes: u64,
-    chunk_records: usize,
-    current: Option<StrcWriter<std::io::BufWriter<File>>>,
-    index: u32,
-    paths: Vec<PathBuf>,
-}
-
-impl RotatingStrcWriter {
-    /// Rotate over `<stem>.NNNN.strc` files of at most ~`max_bytes`
-    /// each (the limit is checked at chunk granularity, so files exceed
-    /// it by at most one chunk).
-    pub fn new(stem: impl Into<PathBuf>, max_bytes: u64, chunk_records: usize) -> Self {
-        RotatingStrcWriter {
-            stem: stem.into(),
-            max_bytes: max_bytes.max(1),
-            chunk_records: chunk_records.max(1),
-            current: None,
-            index: 0,
-            paths: Vec::new(),
-        }
-    }
-
-    fn file_path(&self, index: u32) -> PathBuf {
-        let stem = self.stem.display();
-        PathBuf::from(format!("{stem}.{index:04}.strc"))
-    }
-
-    /// Append one record, rotating first if the current file is full.
-    pub fn push(&mut self, rec: &TraceRecord) -> Result<(), StrcError> {
-        if let Some(w) = &self.current {
-            if w.bytes_written() >= self.max_bytes {
-                self.rotate()?;
-            }
-        }
-        if self.current.is_none() {
-            self.index += 1;
-            let path = self.file_path(self.index);
-            let file = File::create(&path)?;
-            self.paths.push(path);
-            self.current = Some(StrcWriter::new(
-                std::io::BufWriter::new(file),
-                self.chunk_records,
-            )?);
-        }
-        self.current.as_mut().expect("writer open").push(rec)
-    }
-
-    fn rotate(&mut self) -> Result<(), StrcError> {
-        if let Some(w) = self.current.take() {
-            w.finish()?;
-        }
-        Ok(())
-    }
-
-    /// Seal the current file and return every path written, in order.
-    pub fn finish(mut self) -> Result<Vec<PathBuf>, StrcError> {
-        self.rotate()?;
-        Ok(self.paths)
-    }
-}
-
 /// Convert between trace formats by file extension: `.strc` ↔ anything
 /// else (treated as JSONL). Returns the number of records moved.
 pub fn convert_file(input: &Path, output: &Path) -> Result<u64, ConvertError> {
@@ -1033,6 +958,7 @@ impl std::error::Error for ConvertError {}
 mod tests {
     use super::*;
     use crate::event::{DeathCause, DecommissionCause};
+    use std::path::PathBuf;
 
     fn sample_records(n: u64) -> Vec<TraceRecord> {
         (0..n)
@@ -1143,27 +1069,6 @@ mod tests {
             }
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rotation_splits_and_each_file_reads_alone() {
-        let records = sample_records(200);
-        let stem = tmp("rot");
-        let mut w = RotatingStrcWriter::new(&stem, 700, 8);
-        for rec in &records {
-            w.push(rec).unwrap();
-        }
-        let paths = w.finish().unwrap();
-        assert!(paths.len() > 1, "expected rotation, got {paths:?}");
-        assert!(paths[0].to_string_lossy().ends_with(".0001.strc"));
-        let mut back = Vec::new();
-        for p in &paths {
-            back.extend(read_strc(p).unwrap());
-        }
-        assert_eq!(back, records);
-        for p in paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Property tests for the indexed binary flight-recorder format:
 //! every event the taxonomy can express must survive a JSONL ↔ `.strc`
 //! round-trip bit-exactly, at any chunk size (including 1-record
-//! chunks and boundary-straddling traces), across rotation, and the
-//! footer index must agree with the records it summarizes.
+//! chunks and boundary-straddling traces), and the footer index must
+//! agree with the records it summarizes.
 
 mod common;
 
 use common::{cluster_rollup_strategy, latency_rollup_strategy, record_strategy};
 use proptest::prelude::*;
 use salamander_obs::event::{SimTime, TraceEvent, TraceRecord};
-use salamander_obs::strc::{
-    convert_file, read_strc, summarize, write_strc, RotatingStrcWriter, StrcReader,
-};
+use salamander_obs::strc::{convert_file, read_strc, summarize, write_strc, StrcReader};
 use salamander_obs::trace::to_jsonl;
 use std::path::PathBuf;
 
@@ -64,30 +62,6 @@ proptest! {
             prop_assert_eq!(&fresh, stored);
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rotation_preserves_records_across_files(
-        records in proptest::collection::vec(record_strategy(), 0..80),
-        max_kib in 1u64..4,
-        case in any::<u64>(),
-    ) {
-        let stem = tmp("rot", case);
-        // Tiny size cap (1–3 KiB) with small chunks: most cases rotate
-        // several times, and chunk flushes land on rotation boundaries.
-        let mut w = RotatingStrcWriter::new(&stem, max_kib * 1024, 4);
-        for r in &records {
-            w.push(r).unwrap();
-        }
-        let paths = w.finish().unwrap();
-        let mut back: Vec<TraceRecord> = Vec::new();
-        for p in &paths {
-            back.extend(read_strc(p).unwrap());
-        }
-        for p in &paths {
-            let _ = std::fs::remove_file(p);
-        }
-        prop_assert_eq!(back, records);
     }
 
     #[test]

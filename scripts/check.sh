@@ -6,7 +6,7 @@
 #
 # Usage: scripts/check.sh [--quick] [--bench]
 #   --quick   skip the release build (debug build + tests only)
-#   --bench   also run the perf-regression gate (scripts/bench.sh --check)
+#   --bench   also run the repo benchmark's self-test (benchmark/run.sh --quick)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -332,10 +332,12 @@ if [ "$quick" -eq 0 ]; then
     )
 fi
 
-# Opt-in perf gate: wall-clock measurements are machine-dependent, so
-# the regression check only runs when explicitly requested.
+# Opt-in: the repo benchmark's self-test proves benchmark/ still builds
+# against this tree and that its digests and failure counters hold.
+# Judging a perf change takes full runs on both commits and
+# `benchmark/run.sh compare` (benchmark/README.md).
 if [ "$bench" -eq 1 ]; then
-    run scripts/bench.sh --check
+    run bash benchmark/run.sh --quick
 fi
 
 echo "All checks passed."
