@@ -1,7 +1,8 @@
 //! Golden-output regression gate for the seeded `results/` artifacts.
 //!
-//! Runs the `lifetime`, `fig3a`, `fig3b` and `zombie` harness binaries
-//! with their seed defaults in a scratch directory and asserts every CSV
+//! Runs the `lifetime`, `fig3a`, `fig3b`, `zombie`, `recovery
+//! --msize-sweep` and `proactive` harness binaries with their seed
+//! defaults in a scratch directory and asserts every CSV
 //! they produce is byte-identical to the copy checked into `results/`,
 //! at `SALAMANDER_THREADS=1` and `=4` alike. This is the enforcement
 //! arm of the determinism contract: no optimization may shift a
@@ -19,10 +20,10 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// Run `bin` with its seed defaults in a fresh scratch dir at a fixed
-/// thread count and compare every CSV named in `outputs` byte-for-byte
-/// against the checked-in golden of the same name.
-fn assert_golden(bin: &str, threads: &str, outputs: &[&str]) {
+/// Run `bin args` with its seed defaults in a fresh scratch dir at a
+/// fixed thread count and compare every CSV named in `outputs`
+/// byte-for-byte against the checked-in golden of the same name.
+fn assert_golden(bin: &str, args: &[&str], threads: &str, outputs: &[&str]) {
     let scratch = std::env::temp_dir().join(format!(
         "salamander-golden-{}-t{}-{}",
         Path::new(bin).file_name().unwrap().to_string_lossy(),
@@ -33,6 +34,7 @@ fn assert_golden(bin: &str, threads: &str, outputs: &[&str]) {
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
 
     let status = Command::new(bin)
+        .args(args)
         .current_dir(&scratch)
         .env("SALAMANDER_THREADS", threads)
         .stdout(std::process::Stdio::null())
@@ -54,37 +56,52 @@ fn assert_golden(bin: &str, threads: &str, outputs: &[&str]) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// One case per harness binary: the binary path from cargo and the
-/// CSVs it writes (no arguments — the defaults are the seeds).
-fn cases() -> Vec<(&'static str, Vec<&'static str>)> {
+/// One case per harness run: the binary path from cargo, its arguments
+/// (the seeds are the defaults) and the CSVs it writes. `recovery` and
+/// `proactive` pin diFS placement end to end.
+type Case = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+fn cases() -> Vec<Case> {
     vec![
         (
             env!("CARGO_BIN_EXE_lifetime"),
-            vec![
+            &[],
+            &[
                 "lifetime.csv",
                 "lifetime_granularity.csv",
                 "lifetime_cap.csv",
             ],
         ),
-        (env!("CARGO_BIN_EXE_fig3a"), vec!["fig3a.csv"]),
-        (env!("CARGO_BIN_EXE_fig3b"), vec!["fig3b.csv"]),
+        (env!("CARGO_BIN_EXE_fig3a"), &[], &["fig3a.csv"]),
+        (env!("CARGO_BIN_EXE_fig3b"), &[], &["fig3b.csv"]),
         (
             env!("CARGO_BIN_EXE_zombie"),
-            vec!["zombie_lifetime.csv", "zombie_cells.csv"],
+            &[],
+            &["zombie_lifetime.csv", "zombie_cells.csv"],
         ),
+        (
+            env!("CARGO_BIN_EXE_recovery"),
+            &["--msize-sweep"],
+            &["recovery.csv", "recovery_msize.csv"],
+        ),
+        (env!("CARGO_BIN_EXE_proactive"), &[], &["proactive.csv"]),
     ]
 }
 
 #[test]
 fn seeded_csvs_match_checked_in_goldens_serial() {
-    for (bin, outputs) in cases() {
-        assert_golden(bin, "1", &outputs);
+    for (bin, args, outputs) in cases() {
+        assert_golden(bin, args, "1", outputs);
     }
 }
 
 #[test]
 fn seeded_csvs_match_checked_in_goldens_four_threads() {
-    for (bin, outputs) in cases() {
-        assert_golden(bin, "4", &outputs);
+    for (bin, args, outputs) in cases() {
+        assert_golden(bin, args, "4", outputs);
     }
 }

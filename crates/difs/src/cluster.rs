@@ -3,9 +3,16 @@
 //! Units carry a capacity in chunks and a used count maintained by the
 //! chunk store. Unit lifecycle mirrors Salamander device events: a
 //! regenerated minidisk becomes a fresh unit; a decommissioned one fails.
+//!
+//! The cluster also keeps the placement index that
+//! [`choose_targets`](crate::placement::choose_targets) walks: each
+//! device's best placeable unit (its *head*), ordered by placement rank.
+//! Every change to a unit's `used`, `alive` or `cordoned` goes through a
+//! method here, so the index never drifts from the units.
 
 use crate::types::{DeviceId, NodeId, UnitId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 /// One storage unit's state.
 #[derive(Debug, Clone)]
@@ -30,16 +37,33 @@ impl Unit {
     pub fn free(&self) -> u32 {
         self.capacity.saturating_sub(self.used)
     }
+
+    /// Whether new replicas may land here.
+    fn placeable(&self) -> bool {
+        self.alive && !self.cordoned && self.free() > 0
+    }
 }
 
+/// Placement rank of a placeable unit: most free first, then lowest id.
+/// Ascending order of this key is descending preference.
+type Rank = (Reverse<u32>, UnitId);
+
 /// Cluster topology registry.
+///
+/// Unit and device ids are allocated densely from 0, so both live in
+/// `Vec`s indexed by id.
 #[derive(Debug, Clone, Default)]
 pub struct Cluster {
     next_node: u32,
-    next_device: u32,
-    next_unit: u64,
-    devices: BTreeMap<DeviceId, NodeId>,
-    units: BTreeMap<UnitId, Unit>,
+    /// Owning node of each device.
+    devices: Vec<NodeId>,
+    units: Vec<Unit>,
+    /// Alive units of each device, ascending by id.
+    device_units: Vec<Vec<UnitId>>,
+    /// Rank of each device's best placeable unit, if it has one.
+    heads: Vec<Option<Rank>>,
+    /// Every `Some` of `heads`, in rank order.
+    ranked: BTreeSet<Rank>,
 }
 
 impl Cluster {
@@ -57,9 +81,10 @@ impl Cluster {
 
     /// Attach a device to `node`.
     pub fn add_device(&mut self, node: NodeId) -> DeviceId {
-        let id = DeviceId(self.next_device);
-        self.next_device += 1;
-        self.devices.insert(id, node);
+        let id = DeviceId(self.devices.len() as u32);
+        self.devices.push(node);
+        self.device_units.push(Vec::new());
+        self.heads.push(None);
         id
     }
 
@@ -69,64 +94,69 @@ impl Cluster {
     ///
     /// Panics if the device was never added.
     pub fn add_unit(&mut self, device: DeviceId, capacity: u32) -> UnitId {
-        let node = *self.devices.get(&device).expect("unknown device");
-        let id = UnitId(self.next_unit);
-        self.next_unit += 1;
-        self.units.insert(
-            id,
-            Unit {
-                node,
-                device,
-                capacity,
-                used: 0,
-                alive: true,
-                cordoned: false,
-            },
-        );
+        let node = *self.devices.get(device.0 as usize).expect("unknown device");
+        let id = UnitId(self.units.len() as u64);
+        self.units.push(Unit {
+            node,
+            device,
+            capacity,
+            used: 0,
+            alive: true,
+            cordoned: false,
+        });
+        self.device_units[device.0 as usize].push(id);
+        self.promote(id);
         id
     }
 
     /// Cordon a unit: it stays alive (readable, its replicas count) but
     /// receives no new placements. Idempotent; unknown units are ignored.
     pub fn cordon_unit(&mut self, unit: UnitId) {
-        if let Some(u) = self.units.get_mut(&unit) {
-            u.cordoned = true;
+        if let Some(u) = self.slot(unit) {
+            self.units[u].cordoned = true;
+            self.demote(unit);
         }
     }
 
     /// Mark a unit failed. Idempotent; unknown units are ignored.
     pub fn fail_unit(&mut self, unit: UnitId) {
-        if let Some(u) = self.units.get_mut(&unit) {
-            u.alive = false;
+        let Some(u) = self.slot(unit) else {
+            return;
+        };
+        if !self.units[u].alive {
+            return;
         }
+        self.units[u].alive = false;
+        let device = self.units[u].device.0 as usize;
+        self.device_units[device].retain(|&x| x != unit);
+        self.demote(unit);
     }
 
     /// Fail every unit on `device` (whole-SSD failure). Returns the failed
-    /// unit ids.
+    /// unit ids, ascending.
     pub fn fail_device(&mut self, device: DeviceId) -> Vec<UnitId> {
-        let mut failed = Vec::new();
-        for (id, u) in self.units.iter_mut() {
-            if u.device == device && u.alive {
-                u.alive = false;
-                failed.push(*id);
-            }
+        let Some(alive) = self.device_units.get_mut(device.0 as usize) else {
+            return Vec::new();
+        };
+        let failed = std::mem::take(alive);
+        for &id in &failed {
+            self.units[id.0 as usize].alive = false;
         }
+        self.set_head(device.0 as usize, None);
         failed
     }
 
     /// Unit accessor.
     pub fn unit(&self, id: UnitId) -> Option<&Unit> {
-        self.units.get(&id)
-    }
-
-    /// Internal mutable accessor for the chunk store.
-    pub(crate) fn unit_mut(&mut self, id: UnitId) -> Option<&mut Unit> {
-        self.units.get_mut(&id)
+        self.slot(id).map(|u| &self.units[u])
     }
 
     /// All units (alive and failed), ascending by id.
     pub fn units(&self) -> impl Iterator<Item = (UnitId, &Unit)> {
-        self.units.iter().map(|(id, u)| (*id, u))
+        self.units
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (UnitId(i as u64), u))
     }
 
     /// Alive units only.
@@ -147,6 +177,114 @@ impl Cluster {
     /// Number of alive units.
     pub fn alive_unit_count(&self) -> u32 {
         self.alive_units().count() as u32
+    }
+
+    /// Each device's best placeable unit, best first. The best unit
+    /// satisfying any device/node exclusion is the first head that does.
+    pub(crate) fn ranked_heads(&self) -> impl Iterator<Item = (UnitId, &Unit)> {
+        self.ranked
+            .iter()
+            .map(|&(_, id)| (id, &self.units[id.0 as usize]))
+    }
+
+    /// Place one replica on `unit`.
+    pub(crate) fn take_slot(&mut self, unit: UnitId) {
+        self.units[unit.0 as usize].used += 1;
+        self.demote(unit);
+    }
+
+    /// Release one replica's slot on `unit`. Unknown units are ignored.
+    pub(crate) fn release_slot(&mut self, unit: UnitId) {
+        if let Some(u) = self.slot(unit) {
+            self.units[u].used = self.units[u].used.saturating_sub(1);
+            self.promote(unit);
+        }
+    }
+
+    /// Check the placement index against a rebuild from the units: the
+    /// heads are exactly each device's best placeable unit, the ordered
+    /// set holds exactly the heads, and every device's alive-unit list is
+    /// its alive units in id order.
+    pub(crate) fn check_index(&self) -> Result<(), String> {
+        let mut best: Vec<Option<Rank>> = vec![None; self.devices.len()];
+        let mut alive = vec![0usize; self.devices.len()];
+        for (id, u) in self.units() {
+            let d = u.device.0 as usize;
+            if u.alive {
+                alive[d] += 1;
+            }
+            if let Some(rank) = Self::rank(id, u) {
+                best[d] = Some(best[d].map_or(rank, |b| b.min(rank)));
+            }
+        }
+        for (d, list) in self.device_units.iter().enumerate() {
+            let in_order = list.windows(2).all(|w| w[0] < w[1]);
+            let all_alive = list.iter().all(|&id| {
+                self.unit(id)
+                    .is_some_and(|u| u.alive && u.device.0 as usize == d)
+            });
+            if !in_order || !all_alive || list.len() != alive[d] {
+                return Err(format!("device {d}: alive-unit list out of step"));
+            }
+        }
+        for &(_, id) in self.heads.iter().flatten() {
+            if !self.units[id.0 as usize].placeable() {
+                return Err(format!("{id:?} is a head but not placeable"));
+            }
+        }
+        if best != self.heads {
+            return Err("placement heads differ from a rebuild".into());
+        }
+        let mut heads = self.heads.iter().flatten();
+        if self.ranked.len() != heads.clone().count() || !heads.all(|h| self.ranked.contains(h)) {
+            return Err("ranked set differs from the heads".into());
+        }
+        Ok(())
+    }
+
+    fn slot(&self, id: UnitId) -> Option<usize> {
+        usize::try_from(id.0).ok().filter(|&u| u < self.units.len())
+    }
+
+    fn rank(id: UnitId, u: &Unit) -> Option<Rank> {
+        u.placeable().then_some((Reverse(u.free()), id))
+    }
+
+    /// `unit` became better (or appeared): it replaces its device's head
+    /// if it now outranks it.
+    fn promote(&mut self, unit: UnitId) {
+        let u = &self.units[unit.0 as usize];
+        let device = u.device.0 as usize;
+        if let Some(rank) = Self::rank(unit, u) {
+            if self.heads[device].is_none_or(|head| rank < head) {
+                self.set_head(device, Some(rank));
+            }
+        }
+    }
+
+    /// `unit` became worse: if it was its device's head, rescan the
+    /// device's alive units for the new best.
+    fn demote(&mut self, unit: UnitId) {
+        let device = self.units[unit.0 as usize].device.0 as usize;
+        if self.heads[device].is_some_and(|(_, head)| head == unit) {
+            let best = self.device_units[device]
+                .iter()
+                .filter_map(|&id| Self::rank(id, &self.units[id.0 as usize]))
+                .min();
+            self.set_head(device, best);
+        }
+    }
+
+    fn set_head(&mut self, device: usize, head: Option<Rank>) {
+        let old = std::mem::replace(&mut self.heads[device], head);
+        if old != head {
+            if let Some(old) = old {
+                self.ranked.remove(&old);
+            }
+            if let Some(new) = head {
+                self.ranked.insert(new);
+            }
+        }
     }
 }
 
@@ -190,6 +328,7 @@ mod tests {
         let failed = c.fail_device(d);
         assert_eq!(failed, vec![a, b]);
         assert_eq!(c.fail_device(d), vec![], "idempotent");
+        c.check_index().unwrap();
     }
 
     #[test]
@@ -197,5 +336,31 @@ mod tests {
     fn unit_requires_device() {
         let mut c = Cluster::new();
         c.add_unit(DeviceId(9), 1);
+    }
+
+    #[test]
+    fn heads_follow_slots_cordons_and_failures() {
+        let mut c = Cluster::new();
+        let n = c.add_node();
+        let d = c.add_device(n);
+        let a = c.add_unit(d, 2);
+        let b = c.add_unit(d, 2);
+        let head = |c: &Cluster| c.ranked_heads().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(head(&c), vec![a], "tie goes to the lower id");
+        c.take_slot(a);
+        assert_eq!(head(&c), vec![b], "a worse head is replaced by a rescan");
+        c.release_slot(a);
+        assert_eq!(head(&c), vec![a], "an improved unit retakes the head");
+        c.cordon_unit(a);
+        assert_eq!(head(&c), vec![b]);
+        c.take_slot(b);
+        c.take_slot(b);
+        assert_eq!(head(&c), vec![], "full and cordoned units are not heads");
+        c.release_slot(b);
+        c.fail_unit(b);
+        assert_eq!(head(&c), vec![]);
+        let fresh = c.add_unit(d, 1);
+        assert_eq!(head(&c), vec![fresh]);
+        c.check_index().unwrap();
     }
 }

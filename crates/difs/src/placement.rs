@@ -12,7 +12,6 @@
 
 use crate::cluster::Cluster;
 use crate::types::{DeviceId, NodeId, UnitId};
-use std::collections::HashSet;
 
 /// Choose up to `needed` placement targets, excluding `exclude_devices`
 /// and (softly) `exclude_nodes`.
@@ -20,32 +19,31 @@ use std::collections::HashSet;
 /// Two passes: first require distinct nodes, then relax to distinct
 /// devices only. Returns fewer than `needed` if the cluster cannot satisfy
 /// the hard constraint.
+///
+/// Each pass walks the cluster's device heads (every device's best
+/// placeable unit) in rank order. Exclusions are per device and per node,
+/// which all units of a device share, so the best eligible unit is always
+/// the first eligible head: O(R · log n) instead of a scan of every unit.
 pub fn choose_targets(
     cluster: &Cluster,
     needed: usize,
-    exclude_devices: &HashSet<DeviceId>,
-    exclude_nodes: &HashSet<NodeId>,
+    exclude_devices: &[DeviceId],
+    exclude_nodes: &[NodeId],
 ) -> Vec<UnitId> {
     let mut chosen: Vec<UnitId> = Vec::with_capacity(needed);
-    let mut used_devices = exclude_devices.clone();
-    let mut used_nodes = exclude_nodes.clone();
+    let mut used_devices = exclude_devices.to_vec();
+    let mut used_nodes = exclude_nodes.to_vec();
     for relax_nodes in [false, true] {
-        while chosen.len() < needed {
-            let best = cluster
-                .alive_units()
-                .filter(|(_, u)| u.free() > 0 && !u.cordoned)
-                .filter(|(_, u)| !used_devices.contains(&u.device))
-                .filter(|(_, u)| relax_nodes || !used_nodes.contains(&u.node))
-                .max_by(|(ida, a), (idb, b)| {
-                    a.free().cmp(&b.free()).then(idb.cmp(ida)) // most free, then lowest id
-                })
-                .map(|(id, u)| (id, u.device, u.node));
-            let Some((id, device, node)) = best else {
+        for (id, u) in cluster.ranked_heads() {
+            if chosen.len() >= needed {
                 break;
-            };
+            }
+            if used_devices.contains(&u.device) || (!relax_nodes && used_nodes.contains(&u.node)) {
+                continue;
+            }
             chosen.push(id);
-            used_devices.insert(device);
-            used_nodes.insert(node);
+            used_devices.push(u.device);
+            used_nodes.push(u.node);
         }
         if chosen.len() >= needed {
             break;
@@ -57,6 +55,7 @@ pub fn choose_targets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// 3 nodes × 2 devices × 1 unit of capacity 4.
     fn cluster() -> (Cluster, Vec<UnitId>) {
@@ -75,9 +74,9 @@ mod tests {
     #[test]
     fn spreads_across_nodes() {
         let (c, _) = cluster();
-        let targets = choose_targets(&c, 3, &HashSet::new(), &HashSet::new());
+        let targets = choose_targets(&c, 3, &[], &[]);
         assert_eq!(targets.len(), 3);
-        let nodes: HashSet<NodeId> = targets.iter().map(|t| c.unit(*t).unwrap().node).collect();
+        let nodes: BTreeSet<NodeId> = targets.iter().map(|t| c.unit(*t).unwrap().node).collect();
         assert_eq!(nodes.len(), 3, "one replica per node");
     }
 
@@ -89,9 +88,9 @@ mod tests {
             let d = c.add_device(n);
             c.add_unit(d, 4);
         }
-        let targets = choose_targets(&c, 3, &HashSet::new(), &HashSet::new());
+        let targets = choose_targets(&c, 3, &[], &[]);
         assert_eq!(targets.len(), 3, "single node still yields 3 devices");
-        let devices: HashSet<DeviceId> =
+        let devices: BTreeSet<DeviceId> =
             targets.iter().map(|t| c.unit(*t).unwrap().device).collect();
         assert_eq!(devices.len(), 3);
     }
@@ -103,16 +102,15 @@ mod tests {
         let d = c.add_device(n);
         c.add_unit(d, 100);
         c.add_unit(d, 100);
-        let targets = choose_targets(&c, 2, &HashSet::new(), &HashSet::new());
+        let targets = choose_targets(&c, 2, &[], &[]);
         assert_eq!(targets.len(), 1, "device constraint is hard");
     }
 
     #[test]
     fn honors_exclusions() {
         let (c, units) = cluster();
-        let mut excl = HashSet::new();
-        excl.insert(c.unit(units[0]).unwrap().device);
-        let targets = choose_targets(&c, 3, &excl, &HashSet::new());
+        let excl = [c.unit(units[0]).unwrap().device];
+        let targets = choose_targets(&c, 3, &excl, &[]);
         assert!(!targets.contains(&units[0]));
         assert_eq!(targets.len(), 3);
     }
@@ -121,9 +119,11 @@ mod tests {
     fn skips_full_and_dead_units() {
         let (mut c, units) = cluster();
         // Fill unit 0 and kill unit 2.
-        c.unit_mut(units[0]).unwrap().used = 4;
+        for _ in 0..4 {
+            c.take_slot(units[0]);
+        }
         c.fail_unit(units[2]);
-        let targets = choose_targets(&c, 6, &HashSet::new(), &HashSet::new());
+        let targets = choose_targets(&c, 6, &[], &[]);
         assert!(!targets.contains(&units[0]));
         assert!(!targets.contains(&units[2]));
     }
@@ -131,18 +131,22 @@ mod tests {
     #[test]
     fn prefers_least_loaded() {
         let (mut c, units) = cluster();
-        for (i, u) in units.iter().enumerate() {
-            c.unit_mut(*u).unwrap().used = if i == 4 { 0 } else { 3 };
+        for (i, &u) in units.iter().enumerate() {
+            if i != 4 {
+                for _ in 0..3 {
+                    c.take_slot(u);
+                }
+            }
         }
-        let targets = choose_targets(&c, 1, &HashSet::new(), &HashSet::new());
+        let targets = choose_targets(&c, 1, &[], &[]);
         assert_eq!(targets, vec![units[4]]);
     }
 
     #[test]
     fn deterministic() {
         let (c, _) = cluster();
-        let a = choose_targets(&c, 3, &HashSet::new(), &HashSet::new());
-        let b = choose_targets(&c, 3, &HashSet::new(), &HashSet::new());
+        let a = choose_targets(&c, 3, &[], &[]);
+        let b = choose_targets(&c, 3, &[], &[]);
         assert_eq!(a, b);
     }
 }

@@ -3,11 +3,11 @@
 
 use crate::cluster::Cluster;
 use crate::placement::choose_targets;
-use crate::types::{ChunkId, DifsConfig, DifsError, UnitId};
+use crate::types::{ChunkId, DeviceId, DifsConfig, DifsError, NodeId, UnitId};
 use salamander_obs::cluster::{exposure_bucket, fullness_bucket};
 use salamander_obs::{ClusterRollup, Obs, SimTime, TraceEvent, EXPOSURE_BUCKETS};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Recovery and durability metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,8 +34,14 @@ pub struct StoreMetrics {
 #[derive(Debug, Clone)]
 pub struct ChunkStore {
     cfg: DifsConfig,
-    next_chunk: u64,
-    chunks: BTreeMap<ChunkId, Vec<UnitId>>,
+    /// Replica set of every chunk ever created, indexed by `ChunkId`
+    /// (allocated densely from 0); `None` once deleted or lost.
+    chunks: Vec<Option<Vec<UnitId>>>,
+    /// Reverse index, indexed by `UnitId`: the chunks with a replica on
+    /// that unit, ascending. Failure handling and drains visit chunks in
+    /// this order, the same as a scan of `chunks` (trace-visible:
+    /// `ChunkLost`, repair queue, `ChunkReReplicated`).
+    by_unit: Vec<Vec<ChunkId>>,
     /// Chunks needing more replicas (retried when capacity appears).
     /// Ordered so retries repair in chunk order — [`Self::retry_pending`]
     /// iterates it, and the repair order is trace-visible (DESIGN.md §9).
@@ -61,8 +67,8 @@ impl ChunkStore {
     pub fn new(cfg: DifsConfig) -> Self {
         ChunkStore {
             cfg,
-            next_chunk: 0,
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
+            by_unit: Vec::new(),
             pending: BTreeSet::new(),
             repair_queue: std::collections::VecDeque::new(),
             exposed_since: BTreeMap::new(),
@@ -161,7 +167,7 @@ impl ChunkStore {
     pub fn cluster_rollup(&self, cluster: &Cluster) -> ClusterRollup {
         let mut r = ClusterRollup::empty(self.now.day);
         let replication = self.cfg.replication as usize;
-        for reps in self.chunks.values() {
+        for reps in self.chunks.iter().flatten() {
             match replication.saturating_sub(reps.len()) {
                 0 => r.full += 1,
                 1 => r.degraded += 1,
@@ -179,7 +185,7 @@ impl ChunkStore {
         r.repair_bytes = self.metrics.recovery_bytes;
         r.drain_bytes = self.metrics.migration_bytes;
         for (chunk, since) in &self.exposed_since {
-            let Some(reps) = self.chunks.get(chunk) else {
+            let Some(reps) = self.reps(*chunk) else {
                 continue;
             };
             let missing = replication.saturating_sub(reps.len()) as u64;
@@ -201,53 +207,87 @@ impl ChunkStore {
 
     /// Number of live chunks.
     pub fn chunk_count(&self) -> u64 {
-        self.chunks.len() as u64
+        self.chunks.iter().flatten().count() as u64
     }
 
     /// Replica set of a chunk.
     pub fn replicas(&self, chunk: ChunkId) -> Result<&[UnitId], DifsError> {
-        self.chunks
-            .get(&chunk)
+        self.reps(chunk)
             .map(|v| v.as_slice())
             .ok_or(DifsError::NoSuchChunk)
     }
 
+    fn reps(&self, chunk: ChunkId) -> Option<&Vec<UnitId>> {
+        let i = usize::try_from(chunk.0).ok()?;
+        self.chunks.get(i)?.as_ref()
+    }
+
+    fn reps_mut(&mut self, chunk: ChunkId) -> &mut Vec<UnitId> {
+        self.chunks[chunk.0 as usize]
+            .as_mut()
+            .expect("chunk exists")
+    }
+
+    /// Record a replica of `chunk` on `unit` in the reverse index.
+    fn index_add(&mut self, unit: UnitId, chunk: ChunkId) {
+        let u = unit.0 as usize;
+        if self.by_unit.len() <= u {
+            self.by_unit.resize_with(u + 1, Vec::new);
+        }
+        let list = &mut self.by_unit[u];
+        if let Err(i) = list.binary_search(&chunk) {
+            list.insert(i, chunk);
+        }
+    }
+
+    /// Drop the replica of `chunk` on `unit` from the reverse index.
+    fn index_remove(&mut self, unit: UnitId, chunk: ChunkId) {
+        if let Some(list) = self.by_unit.get_mut(unit.0 as usize) {
+            if let Ok(i) = list.binary_search(&chunk) {
+                list.remove(i);
+            }
+        }
+    }
+
+    /// Put one more replica of `chunk` on `unit`.
+    fn place(&mut self, cluster: &mut Cluster, chunk: ChunkId, unit: UnitId) {
+        cluster.take_slot(unit);
+        self.reps_mut(chunk).push(unit);
+        self.index_add(unit, chunk);
+    }
+
     /// Create a fully replicated chunk.
     pub fn create_chunk(&mut self, cluster: &mut Cluster) -> Result<ChunkId, DifsError> {
-        let targets = choose_targets(
-            cluster,
-            self.cfg.replication as usize,
-            &HashSet::new(),
-            &HashSet::new(),
-        );
+        let targets = choose_targets(cluster, self.cfg.replication as usize, &[], &[]);
         if targets.len() < self.cfg.replication as usize {
             return Err(DifsError::InsufficientCapacity);
         }
-        let id = ChunkId(self.next_chunk);
-        self.next_chunk += 1;
-        for &t in &targets {
-            cluster.unit_mut(t).expect("placed on known unit").used += 1;
+        let id = ChunkId(self.chunks.len() as u64);
+        self.chunks.push(Some(Vec::with_capacity(targets.len())));
+        for t in targets {
+            self.place(cluster, id, t);
         }
-        self.chunks.insert(id, targets);
         Ok(id)
     }
 
     /// Whether `chunk` still exists (not lost).
     pub fn contains(&self, chunk: ChunkId) -> bool {
-        self.chunks.contains_key(&chunk)
+        self.reps(chunk).is_some()
     }
 
     /// Delete a chunk, releasing its replicas' space.
     pub fn delete_chunk(&mut self, cluster: &mut Cluster, chunk: ChunkId) -> Result<(), DifsError> {
-        let reps = self.chunks.remove(&chunk).ok_or(DifsError::NoSuchChunk)?;
+        let reps = usize::try_from(chunk.0)
+            .ok()
+            .and_then(|i| self.chunks.get_mut(i)?.take())
+            .ok_or(DifsError::NoSuchChunk)?;
         self.pending.remove(&chunk);
         // Deletion ends any exposure: the data no longer exists to be
         // at risk, and the window closes at its dwell so far.
         self.close_exposure(chunk);
         for u in reps {
-            if let Some(unit) = cluster.unit_mut(u) {
-                unit.used = unit.used.saturating_sub(1);
-            }
+            cluster.release_slot(u);
+            self.index_remove(u, chunk);
         }
         Ok(())
     }
@@ -258,17 +298,16 @@ impl ChunkStore {
     /// whose last replica vanished are counted lost and removed.
     pub fn fail_unit(&mut self, cluster: &mut Cluster, unit: UnitId) {
         cluster.fail_unit(unit);
-        let affected: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|(_, reps)| reps.contains(&unit))
-            .map(|(id, _)| *id)
-            .collect();
+        let affected = usize::try_from(unit.0)
+            .ok()
+            .and_then(|u| self.by_unit.get_mut(u))
+            .map(std::mem::take)
+            .unwrap_or_default();
         for chunk in affected {
-            let reps = self.chunks.get_mut(&chunk).expect("chunk exists");
+            let reps = self.reps_mut(chunk);
             reps.retain(|&u| u != unit);
             if reps.is_empty() {
-                self.chunks.remove(&chunk);
+                self.chunks[chunk.0 as usize] = None;
                 self.pending.remove(&chunk);
                 // A loss closes the window too: the dwell it accrued
                 // while under-replicated still describes how long the
@@ -331,35 +370,22 @@ impl ChunkStore {
     /// elsewhere first, then releases the at-risk one. Returns how many
     /// chunks were moved; chunks that cannot be placed stay put.
     pub fn drain_unit(&mut self, cluster: &mut Cluster, unit: UnitId, budget: u32) -> u32 {
-        let on_unit: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|(_, reps)| reps.contains(&unit))
-            .map(|(id, _)| *id)
-            .take(budget as usize)
-            .collect();
+        let on_unit: Vec<ChunkId> = usize::try_from(unit.0)
+            .ok()
+            .and_then(|u| self.by_unit.get(u))
+            .map(|list| list.iter().take(budget as usize).copied().collect())
+            .unwrap_or_default();
         let mut moved = 0;
         for chunk in on_unit {
-            let reps = self.chunks.get(&chunk).expect("chunk exists");
-            let exclude_devices: HashSet<_> = reps
-                .iter()
-                .filter_map(|&u| cluster.unit(u).map(|x| x.device))
-                .collect();
-            let exclude_nodes: HashSet<_> = reps
-                .iter()
-                .filter_map(|&u| cluster.unit(u).map(|x| x.node))
-                .collect();
-            let targets = choose_targets(cluster, 1, &exclude_devices, &exclude_nodes);
+            let (devices, nodes) = exclusions(cluster, self.reps(chunk).expect("chunk exists"));
+            let targets = choose_targets(cluster, 1, &devices, &nodes);
             let Some(&target) = targets.first() else {
                 continue;
             };
-            cluster.unit_mut(target).expect("known unit").used += 1;
-            if let Some(u) = cluster.unit_mut(unit) {
-                u.used = u.used.saturating_sub(1);
-            }
-            let reps = self.chunks.get_mut(&chunk).expect("chunk exists");
-            reps.retain(|&u| u != unit);
-            reps.push(target);
+            cluster.release_slot(unit);
+            self.index_remove(unit, chunk);
+            self.reps_mut(chunk).retain(|&u| u != unit);
+            self.place(cluster, chunk, target);
             self.metrics.migration_bytes += self.cfg.chunk_bytes;
             moved += 1;
         }
@@ -384,7 +410,7 @@ impl ChunkStore {
 
     /// Bring one chunk back to full replication if placement allows.
     fn repair_chunk(&mut self, cluster: &mut Cluster, chunk: ChunkId) {
-        let Some(reps) = self.chunks.get(&chunk) else {
+        let Some(reps) = self.reps(chunk) else {
             self.pending.remove(&chunk);
             self.exposed_since.remove(&chunk);
             return;
@@ -395,19 +421,11 @@ impl ChunkStore {
             self.close_exposure(chunk);
             return;
         }
-        let exclude_devices: HashSet<_> = reps
-            .iter()
-            .filter_map(|&u| cluster.unit(u).map(|x| x.device))
-            .collect();
-        let exclude_nodes: HashSet<_> = reps
-            .iter()
-            .filter_map(|&u| cluster.unit(u).map(|x| x.node))
-            .collect();
-        let targets = choose_targets(cluster, missing, &exclude_devices, &exclude_nodes);
+        let (devices, nodes) = exclusions(cluster, reps);
+        let targets = choose_targets(cluster, missing, &devices, &nodes);
         let placed = targets.len();
-        for &t in &targets {
-            cluster.unit_mut(t).expect("placed on known unit").used += 1;
-            self.chunks.get_mut(&chunk).expect("chunk exists").push(t);
+        for t in targets {
+            self.place(cluster, chunk, t);
             self.metrics.re_replications += 1;
             self.metrics.recovery_bytes += self.cfg.chunk_bytes;
         }
@@ -439,30 +457,52 @@ impl ChunkStore {
     }
 
     /// Consistency check: replica sets are distinct-device, sized ≤ R,
-    /// every replica is alive, and unit `used` counters match (tests only).
+    /// every replica is alive, unit `used` counters match, the reverse
+    /// index holds exactly the replica pairs, and the cluster's placement
+    /// index matches its units (tests only). O(replicas + units).
     pub fn check_invariants(&self, cluster: &Cluster) -> Result<(), String> {
-        let mut used: BTreeMap<UnitId, u32> = BTreeMap::new();
-        for (chunk, reps) in &self.chunks {
+        cluster.check_index()?;
+        let mut used = vec![0u32; cluster.units().count()];
+        let mut replicas = 0;
+        for (i, reps) in self.chunks.iter().enumerate() {
+            let Some(reps) = reps else {
+                continue;
+            };
+            let chunk = ChunkId(i as u64);
             if reps.len() > self.cfg.replication as usize {
                 return Err(format!("{chunk:?} over-replicated"));
             }
-            let mut devices = HashSet::new();
-            for &u in reps {
-                let unit = cluster.unit(u).ok_or(format!("{chunk:?} unknown unit"))?;
+            for (k, &u) in reps.iter().enumerate() {
+                let unit = cluster
+                    .unit(u)
+                    .ok_or_else(|| format!("{chunk:?} unknown unit"))?;
                 if !unit.alive {
                     return Err(format!("{chunk:?} replica on dead unit {u:?}"));
                 }
-                if !devices.insert(unit.device) {
+                if reps[..k]
+                    .iter()
+                    .any(|&v| cluster.unit(v).is_some_and(|x| x.device == unit.device))
+                {
                     return Err(format!("{chunk:?} two replicas on one device"));
                 }
-                *used.entry(u).or_default() += 1;
+                if self
+                    .by_unit
+                    .get(u.0 as usize)
+                    .is_none_or(|list| list.binary_search(&chunk).is_err())
+                {
+                    return Err(format!(
+                        "{chunk:?} replica on {u:?} not in the reverse index"
+                    ));
+                }
+                used[u.0 as usize] += 1;
             }
-            if reps.len() < self.cfg.replication as usize && !self.pending.contains(chunk) {
+            replicas += reps.len();
+            if reps.len() < self.cfg.replication as usize && !self.pending.contains(&chunk) {
                 return Err(format!("{chunk:?} under-replicated but not pending"));
             }
         }
         for (id, unit) in cluster.units() {
-            let expect = used.get(&id).copied().unwrap_or(0);
+            let expect = used[id.0 as usize];
             if unit.alive && unit.used != expect {
                 return Err(format!(
                     "{id:?} used={} but {} chunks reference it",
@@ -470,14 +510,33 @@ impl ChunkStore {
                 ));
             }
         }
+        // Every replica pair is indexed; strictly ascending lists of the
+        // same total size therefore hold nothing else.
+        let strictly_ascending = self
+            .by_unit
+            .iter()
+            .all(|list| list.windows(2).all(|w| w[0] < w[1]));
+        let indexed: usize = self.by_unit.iter().map(Vec::len).sum();
+        if !strictly_ascending || indexed != replicas {
+            return Err(format!(
+                "reverse index holds {indexed} pairs for {replicas} replicas"
+            ));
+        }
         Ok(())
     }
+}
+
+/// The devices and nodes holding `reps`: a repair's placement exclusions.
+fn exclusions(cluster: &Cluster, reps: &[UnitId]) -> (Vec<DeviceId>, Vec<NodeId>) {
+    reps.iter()
+        .filter_map(|&u| cluster.unit(u))
+        .map(|x| (x.device, x.node))
+        .unzip()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DeviceId;
 
     /// `nodes × devices_per_node × units_per_device`, each unit `cap` chunks.
     fn build(nodes: u32, devs: u32, units: u32, cap: u32) -> (Cluster, Vec<UnitId>) {

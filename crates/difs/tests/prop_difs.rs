@@ -114,7 +114,7 @@ mod namespace_props {
     use salamander_difs::namespace::{Namespace, NamespaceError};
     use salamander_difs::store::ChunkStore;
     use salamander_difs::types::DifsConfig;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone)]
     enum FsOp {
@@ -148,7 +148,7 @@ mod namespace_props {
             let mut store = ChunkStore::new(DifsConfig::default());
             let mut ns = Namespace::new();
             // Shadow: path -> size in MB.
-            let mut shadow: HashMap<String, u64> = HashMap::new();
+            let mut shadow: BTreeMap<String, u64> = BTreeMap::new();
             let mb = 1u64 << 20;
             for op in &ops {
                 match op {

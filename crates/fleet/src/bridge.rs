@@ -19,13 +19,13 @@ use salamander_difs::store::{ChunkStore, StoreMetrics};
 use salamander_difs::types::{DeviceId, DifsConfig, NodeId, UnitId};
 use salamander_ftl::types::{Lba, MdiskId};
 use salamander_obs::{ClusterKernel, ClusterRollup, Obs};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One SSD attached to the harness.
 struct DeviceSlot {
     ssd: SalamanderSsd,
     device: DeviceId,
-    units: HashMap<MdiskId, UnitId>,
+    units: BTreeMap<MdiskId, UnitId>,
     churn_state: u64,
 }
 
@@ -115,7 +115,7 @@ impl ClusterHarness {
     pub fn add_device_on(&mut self, node: NodeId, cfg: SsdConfig) -> usize {
         let ssd = SalamanderSsd::open_with_obs(cfg, self.obs.clone());
         let device = self.cluster.add_device(node);
-        let mut units = HashMap::new();
+        let mut units = BTreeMap::new();
         for m in ssd.minidisks() {
             let cap = self.unit_capacity(&ssd, m);
             units.insert(m, self.cluster.add_unit(device, cap));
@@ -346,7 +346,7 @@ impl ClusterHarness {
                 let unit = self
                     .cluster
                     .unit(*u)
-                    .ok_or(format!("device {i}: unknown unit {u:?}"))?;
+                    .ok_or_else(|| format!("device {i}: unknown unit {u:?}"))?;
                 if !unit.alive {
                     return Err(format!("device {i}: tracked unit {u:?} is dead"));
                 }

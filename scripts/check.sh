@@ -62,6 +62,18 @@ if grep -rn 'sort[a-z_]*(' crates/*/src crates/*/tests vendor/*/src \
     exit 1
 fi
 
+# Determinism by construction: std's hashed collections iterate in a
+# per-process random order, and diFS placement, repair order and the
+# bridge's invariant walk are trace-visible. `ChunkStore.pending` was a
+# `HashSet` once, and repair order differed between processes. Ordered
+# (`BTree*`) or dense (`Vec`) collections only, here.
+echo "==> checking diFS and the FTL bridge for HashMap/HashSet"
+if grep -rn 'HashMap\|HashSet' crates/difs/src crates/fleet/src/bridge.rs \
+    --include='*.rs'; then
+    echo "error: hashed collection in diFS or the bridge; use BTreeMap/BTreeSet or a Vec" >&2
+    exit 1
+fi
+
 if [ "$quick" -eq 0 ]; then
     run cargo build --release --workspace
 fi
